@@ -80,7 +80,9 @@ pub struct Workload {
 /// differ only in where frees run. Each latency limit is the p90 of
 /// `real:system` on the same host at the same rate (`--backend system`,
 /// median of five 20 s runs), the paper's SLO definition, fixed here so
-/// `slo_violation_pct` compares one limit across commits.
+/// `slo_violation_pct` compares one limit across commits. `lsm-large` runs
+/// by name but is left out of `BENCHMARK.json`: on a 2-core VM its peak
+/// resident set did not repeat from run to run within the bound.
 pub const WORKLOADS: [Workload; 4] = [
     Workload {
         name: "kv-small",
@@ -148,8 +150,10 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Poisson arrivals (independent clients) at `rate` for `seconds`.
-    pub fn open_loop(w: &Workload, seed: u64, rate: f64, seconds: f64) -> Self {
+    /// Poisson arrivals (independent clients) at the workload's rate for
+    /// `seconds`.
+    pub fn open_loop(w: &Workload, seed: u64, seconds: f64) -> Self {
+        let rate = w.rate;
         let mut arrivals = DetRng::new(seed, "perfbench-arrivals");
         let mut sizes = DetRng::new(seed, "perfbench-values");
         let horizon = (seconds * 1e9) as u64;
@@ -198,19 +202,6 @@ pub struct PhaseOut {
     pub unsent: u64,
     /// Queries whose latency exceeded the limit.
     pub over_limit: u64,
-    /// The phase's [`WINDOW`]s of due times, the last one partial.
-    pub windows: Vec<WindowOut>,
-}
-
-/// The queries due within one [`WINDOW`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WindowOut {
-    /// End index of the window's samples in [`PhaseOut::latency_ns`].
-    pub end: usize,
-    /// Queries due.
-    pub due: u64,
-    /// Queries that failed, went unsent, or exceeded the limit.
-    pub violations: u64,
 }
 
 /// A periodic observation taken in the generator's idle time.
@@ -218,9 +209,6 @@ pub trait Sampler {
     /// Samples `svc`.
     fn sample(&mut self, svc: &dyn Service);
 }
-
-/// Length of the windows a phase's latencies are grouped into.
-pub const WINDOW: Duration = Duration::from_secs(1);
 
 /// Minimum spacing of samples and the idle time a sample needs.
 const SAMPLE_EVERY: Duration = Duration::from_millis(5);
@@ -251,20 +239,11 @@ pub fn run_phase(
     let give_up = t0 + Duration::from_nanos(span_ns.saturating_mul(2));
     let mut prev_done = t0;
     let mut last_sample = t0;
-    let window_ns = WINDOW.as_nanos() as u64;
-    let mut win = WindowOut::default();
     for i in 0..n {
-        if sched.due_ns[i] / window_ns > out.windows.len() as u64 {
-            win.end = out.latency_ns.len();
-            out.windows.push(win);
-            win = WindowOut::default();
-        }
-        win.due += 1;
         let due = t0 + Duration::from_nanos(sched.due_ns[i]);
         let mut now = Instant::now();
         if now > give_up {
             out.unsent = (n - i) as u64;
-            win.violations += 1;
             break;
         }
         while now < due {
@@ -294,17 +273,13 @@ pub fn run_phase(
         let lat = (done - due).as_nanos() as u64;
         if r.is_err() {
             out.failed += 1;
-            win.violations += 1;
         } else {
             out.latency_ns.push(lat);
             if lat > limit_ns {
                 out.over_limit += 1;
-                win.violations += 1;
             }
         }
     }
-    win.end = out.latency_ns.len();
-    out.windows.push(win);
     out
 }
 

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//!           [--backend hermes|system] [--closed-loop] [--rate <q/s>]
-//!           [--out <dir>]
+//!           [--backend hermes|system] [--closed-loop] [--out <dir>]
 //! ```
 //!
 //! `--trace 0` boots the service on `real:hermes` several times (set-up
@@ -20,14 +19,14 @@
 //! `--backend system` runs the end-to-end pass on the system allocator
 //! (how each workload's latency limit was derived), `--closed-loop`
 //! reports the rate the service sustains back to back (how each offered
-//! rate was derived), and `--rate` overrides the offered rate.
+//! rate was derived).
 
 mod backends;
 mod load;
 mod procfs;
 mod trace;
 
-use backends::{HeapSnap, Instrumented, LazyCtl, LazyFree, LazyReport, Probe, RawAlloc, SystemRaw};
+use backends::{HeapSnap, Instrumented, LazyCtl, LazyFree, Probe, SystemRaw};
 use hermes_allocators::real::RealHermesBackend;
 use hermes_allocators::{AllocatorBackend, RealSystemBackend};
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
@@ -43,8 +42,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Set-ups per untraced run; `setup_s` is their median.
-const SETUPS: usize = 3;
+/// Set-ups per untraced run; `setup_s` is their median. Half run before
+/// the timed phase and the rest after it, so that the median spans the
+/// run rather than one moment of the host.
+const SETUPS: usize = 7;
 /// Untimed open-loop warm-up before each timed phase, in seconds.
 const WARMUP_S: f64 = 2.0;
 /// Seed perturbation that gives the warm-up a schedule of its own.
@@ -53,6 +54,8 @@ const WARMUP_STREAM: u64 = 0x5741_524d;
 const RING: usize = 1 << 16;
 /// Span buffer of a tracing thread (32 B a span).
 const MAX_SPANS: usize = 1 << 20;
+/// Window over which the monitor takes each peak resident set.
+const RSS_WINDOW: std::time::Duration = std::time::Duration::from_secs(1);
 /// A percentile is reported only with at least this many samples beyond
 /// it.
 const MIN_BEYOND: usize = 10;
@@ -79,7 +82,6 @@ struct Args {
     trace: bool,
     backend: Alloc,
     closed_loop: bool,
-    rate: Option<f64>,
     out: String,
 }
 
@@ -90,8 +92,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--closed-loop" => closed_loop = true,
-            "--workload" | "--seed" | "--seconds" | "--trace" | "--backend" | "--rate"
-            | "--out" => {
+            "--workload" | "--seed" | "--seconds" | "--trace" | "--backend" | "--out" => {
                 let v = it.next().ok_or(format!("{a} needs a value"))?;
                 kv.insert(a[2..].to_string(), v);
             }
@@ -129,11 +130,6 @@ fn parse_args() -> Result<Args, String> {
             Some(v) => return Err(format!("--backend takes hermes or system, not {v}")),
         },
         closed_loop,
-        rate: if kv.contains_key("rate") {
-            Some(num("rate")?)
-        } else {
-            None
-        },
         out: kv
             .get("out")
             .cloned()
@@ -141,30 +137,11 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// The harness's view of a lazy-free thread.
-trait LazyHandle {
-    fn tid(&self) -> u64;
-    fn start_trace(&self);
-    fn finish(&self) -> LazyReport;
-}
-
-impl<A: RawAlloc> LazyHandle for LazyCtl<A> {
-    fn tid(&self) -> u64 {
-        LazyCtl::tid(self)
-    }
-    fn start_trace(&self) {
-        LazyCtl::start_trace(self)
-    }
-    fn finish(&self) -> LazyReport {
-        LazyCtl::finish(self)
-    }
-}
-
 /// A service booted and prefilled, ready for its timed phase.
 struct Built {
     svc: Box<dyn Service>,
     probe: Probe,
-    lazy: Option<Box<dyn LazyHandle>>,
+    lazy: Option<LazyCtl>,
 }
 
 impl Built {
@@ -193,40 +170,39 @@ fn service<B: AllocatorBackend + 'static>(
 fn build(w: &Workload, alloc: Alloc, seed: u64, lazy_trace: usize) -> Result<Built, String> {
     let probe = Probe::default();
     let svc_seed = DetRng::new(seed, "perfbench-service").next_u64();
-    let (mut svc, lazy): (Box<dyn Service>, Option<Box<dyn LazyHandle>>) =
-        match (alloc, w.lazy_free) {
-            (Alloc::Hermes, false) => {
-                let b = RealHermesBackend::new(HermesConfig::default())
-                    .map_err(|e| format!("heap boot: {e}"))?;
-                (
-                    service(w, Instrumented::new(b, probe.clone()), svc_seed)?,
-                    None,
-                )
-            }
-            (Alloc::System, false) => {
-                let b = RealSystemBackend::new();
-                (
-                    service(w, Instrumented::new(b, probe.clone()), svc_seed)?,
-                    None,
-                )
-            }
-            (Alloc::Hermes, true) => {
-                let heap = Arc::new(
-                    HermesHeap::new(HermesHeapConfig::default())
-                        .map_err(|e| format!("heap boot: {e}"))?,
-                );
-                heap.start_manager();
-                let home = heap.home_arena();
-                let (b, ctl) = LazyFree::new(heap, RING, lazy_trace, Some(home));
-                let s = service(w, Instrumented::new(b, probe.clone()), svc_seed)?;
-                (s, Some(Box::new(ctl)))
-            }
-            (Alloc::System, true) => {
-                let (b, ctl) = LazyFree::new(Arc::new(SystemRaw), RING, lazy_trace, None);
-                let s = service(w, Instrumented::new(b, probe.clone()), svc_seed)?;
-                (s, Some(Box::new(ctl)))
-            }
-        };
+    let (mut svc, lazy): (Box<dyn Service>, Option<LazyCtl>) = match (alloc, w.lazy_free) {
+        (Alloc::Hermes, false) => {
+            let b = RealHermesBackend::new(HermesConfig::default())
+                .map_err(|e| format!("heap boot: {e}"))?;
+            (
+                service(w, Instrumented::new(b, probe.clone()), svc_seed)?,
+                None,
+            )
+        }
+        (Alloc::System, false) => {
+            let b = RealSystemBackend::new();
+            (
+                service(w, Instrumented::new(b, probe.clone()), svc_seed)?,
+                None,
+            )
+        }
+        (Alloc::Hermes, true) => {
+            let heap = Arc::new(
+                HermesHeap::new(HermesHeapConfig::default())
+                    .map_err(|e| format!("heap boot: {e}"))?,
+            );
+            heap.start_manager();
+            let home = heap.home_arena();
+            let (b, ctl) = LazyFree::new(heap, RING, lazy_trace, Some(home));
+            let s = service(w, Instrumented::new(b, probe.clone()), svc_seed)?;
+            (s, Some(ctl))
+        }
+        (Alloc::System, true) => {
+            let (b, ctl) = LazyFree::new(Arc::new(SystemRaw), RING, lazy_trace, None);
+            let s = service(w, Instrumented::new(b, probe.clone()), svc_seed)?;
+            (s, Some(ctl))
+        }
+    };
     for v in Schedule::prefill(w, seed) {
         svc.query(v)
             .map_err(|e| format!("prefill query failed: {e}"))?;
@@ -263,8 +239,10 @@ struct Pass {
     fg: ThreadSample,
     runtime: ThreadSample,
     batch: Option<(ThreadSample, u64)>,
-    /// The monitor's windows; the last is partial.
-    windows: Vec<procfs::Window>,
+    /// Peak resident set of each one-second window of the timed phase
+    /// (`VmHWM`, reset at each window's start), in KiB; the last window
+    /// is partial.
+    rss_peaks_kib: Vec<u64>,
     heap0: Option<HeapSnap>,
     heap1: Option<HeapSnap>,
     samples: ReserveSampler,
@@ -280,24 +258,25 @@ impl Pass {
     }
 }
 
-fn setups_then_build(
+/// Runs `n` timed set-ups, each torn down before the next starts, and
+/// keeps the last.
+fn timed_setups(
     w: &Workload,
     alloc: Alloc,
     seed: u64,
-    setups: usize,
+    n: usize,
     lazy_trace: usize,
-) -> Result<(Built, Vec<f64>), String> {
-    let mut times = Vec::with_capacity(setups);
+    times: &mut Vec<f64>,
+) -> Result<Built, String> {
     let mut last = None;
-    for _ in 0..setups.max(1) {
-        // Tear the previous set-up down before timing the next.
+    for _ in 0..n.max(1) {
         drop(last.take());
         let t = Instant::now();
         let b = build(w, alloc, seed, lazy_trace)?;
         times.push(t.elapsed().as_secs_f64());
         last = Some(b);
     }
-    Ok((last.expect("at least one set-up"), times))
+    Ok(last.expect("at least one set-up"))
 }
 
 /// Boots, runs one timed open-loop pass, and checks the result.
@@ -305,12 +284,11 @@ fn run_pass(
     w: &Workload,
     alloc: Alloc,
     seed: u64,
-    rate: f64,
     seconds: f64,
     setups: usize,
     traced: bool,
 ) -> Result<Pass, String> {
-    let sched = Schedule::open_loop(w, seed, rate, seconds);
+    let sched = Schedule::open_loop(w, seed, seconds);
     let deletes = w.svc == Svc::Redis;
     // Room for every span a query can open (root, service, backend and
     // direct runtime calls) plus the flush frees of the LSM workload, up
@@ -320,12 +298,14 @@ fn run_pass(
     } else {
         0
     };
-    let (mut built, setup_s) = setups_then_build(w, alloc, seed, setups, cap / 2)?;
+    let before = setups.div_ceil(2);
+    let mut setup_s = Vec::with_capacity(setups);
+    let mut built = timed_setups(w, alloc, seed, before, cap / 2, &mut setup_s)?;
     let batch = w.batch.then(Batch::start);
     // Warm up at the offered rate, untimed, so the timed phase starts in
     // steady state (thread caches filled, the manager's reserve sized to
     // the load) rather than in the ramp after the prefill.
-    let warm = Schedule::open_loop(w, seed ^ WARMUP_STREAM, rate, WARMUP_S);
+    let warm = Schedule::open_loop(w, seed ^ WARMUP_STREAM, WARMUP_S);
     let warm_out = load::run_phase(built.svc.as_mut(), &warm, deletes, w.slo_us, None);
     if warm_out.failed + warm_out.unsent > 0 {
         if let Some(b) = batch {
@@ -345,10 +325,15 @@ fn run_pass(
     let load_tid = procfs::current_tid().unwrap_or(0);
     let heap0 = built.heap();
     let mut own = vec![load_tid];
-    own.extend(built.lazy.as_ref().map(|l| l.tid()));
+    own.extend(built.lazy.as_ref().map(LazyCtl::tid));
     own.extend(batch.as_ref().map(|b| b.tid));
-    let monitor = procfs::Monitor::start(load::WINDOW, own.clone());
-    let monitor_tid = monitor.tid;
+    let mut failures = Vec::new();
+    let monitor = procfs::PeakMonitor::start(RSS_WINDOW);
+    if monitor.is_none() {
+        failures
+            .push("the kernel refused to reset VmHWM, so rss_peak_mib cannot be measured".into());
+    }
+    own.extend(monitor.as_ref().map(|m| m.tid));
     let threads0 = procfs::read_all_threads();
     let t0 = Instant::now();
     let touched0 = batch.as_ref().map_or(0, Batch::touched);
@@ -364,14 +349,13 @@ fn run_pass(
 
     let threads1 = procfs::read_all_threads();
     let wall_s = t0.elapsed().as_secs_f64();
-    let windows = monitor.stop();
+    let rss_peaks_kib = monitor.map_or_else(Vec::new, procfs::PeakMonitor::stop);
     let heap1 = built.heap();
     let delta = |tid: u64| match (threads0.get(&tid), threads1.get(&tid)) {
         (Some((_, a)), Some((_, b))) => b.since(a),
         _ => ThreadSample::default(),
     };
     let fg = delta(load_tid);
-    own.push(monitor_tid);
     let runtime = procfs::others_since(&threads0, &threads1, &own);
     let batch = batch.map(|b| {
         let sample = (delta(b.tid), b.touched() - touched0);
@@ -382,7 +366,6 @@ fn run_pass(
     if let Some(rec) = trace::take() {
         spans.push(("load", rec));
     }
-    let mut failures = Vec::new();
     if let Some(lazy) = built.lazy.take() {
         let report = lazy.finish();
         if report.bad_patterns > 0 {
@@ -399,6 +382,10 @@ fn run_pass(
     for (thread, rec) in &spans {
         check_spans(thread, rec, &mut failures);
     }
+    drop(built);
+    if setups > before {
+        timed_setups(w, alloc, seed, setups - before, 0, &mut setup_s)?;
+    }
     Ok(Pass {
         alloc,
         out,
@@ -407,7 +394,7 @@ fn run_pass(
         fg,
         runtime,
         batch,
-        windows,
+        rss_peaks_kib,
         heap0,
         heap1,
         samples: sampler,
@@ -474,7 +461,12 @@ fn check(
             .counters
             .remote_frees
             .saturating_sub(heap0.map_or(0, |h0| h0.counters.remote_frees));
-        if w.lazy_free && h.arenas > 1 && remote == 0 {
+        if w.lazy_free && h.arenas < 2 {
+            failures.push(format!(
+                "the heap has {} arena, so lazy frees cannot cross arenas",
+                h.arenas
+            ));
+        } else if w.lazy_free && remote == 0 {
             failures.push("lazy frees never reached the remote-free inbox".into());
         }
     }
@@ -571,139 +563,85 @@ fn mib(bytes: f64) -> f64 {
     bytes / (1u64 << 20) as f64
 }
 
-/// The whole windows of a pass's phase (all of them when none is whole).
-fn whole<T>(windows: &[T]) -> &[T] {
-    match windows.len() {
-        0 | 1 => windows,
-        n => &windows[..n - 1],
-    }
-}
-
-/// Per-window percentile `q` of a pass's latencies, over the whole
-/// windows with at least [`MIN_BEYOND`] samples beyond it.
-fn window_pcts(p: &Pass, q: f64) -> Vec<f64> {
-    let mut start = 0;
-    let mut out = Vec::new();
-    for w in whole(&p.out.windows) {
-        let mut lat = p.out.latency_ns[start..w.end].to_vec();
-        start = w.end;
-        lat.sort_unstable();
-        if let Some((v, beyond)) = pct(&lat, q) {
-            if beyond >= MIN_BEYOND {
-                out.push(v as f64 / 1e3);
-            }
-        }
-    }
-    out
-}
-
 /// CPU of the threads the benchmark did not start (the runtime's
-/// manager), in % of one core: the median over the pass's whole windows,
-/// with a note giving the whole-run figure.
-fn runtime_cpu(p: &Pass) -> (f64, String) {
-    let cpu: Vec<f64> = whole(&p.windows)
-        .iter()
-        .map(|w| w.others_cpu_ns as f64 / w.wall_ns.max(1) as f64 * 100.0)
-        .collect();
-    let note = format!(
-        "threads the benchmark did not start; median of {} windows, whole run {:.3}",
-        cpu.len(),
-        p.runtime.cpu_ns() as f64 / (p.wall_s * 1e9) * 100.0
-    );
-    (median(&cpu), note)
+/// manager) over the timed phase, in % of one core.
+fn runtime_cpu_pct(p: &Pass) -> f64 {
+    p.runtime.cpu_ns() as f64 / (p.wall_s * 1e9) * 100.0
 }
 
-/// Prints the tail of an untraced pass: the per-window and median p99,
-/// and the whole-run p90 (the statistic the latency limits were fixed
-/// from), p99 and p99.9 where at least [`MIN_BEYOND`] samples lie beyond
-/// them. Returns the windowed p99 and whole-run p99.9. They are not
-/// gated: a handful of multi-millisecond stalls set them, so on a 2-core
-/// VM they do not repeat from run to run.
-fn tail_report(sorted: &[u64], p: &Pass) -> (Option<f64>, Option<f64>) {
+/// Prints a pass's p50, p90, p99 and p99.9 query latency, each with its
+/// sample count, and returns them in microseconds. A percentile is
+/// reported only where at least [`MIN_BEYOND`] samples lie beyond it.
+fn latency_report(sorted: &[u64]) -> [Option<f64>; 4] {
     let n = sorted.len();
-    let w = window_pcts(p, 0.99);
-    let list: Vec<String> = w.iter().map(|v| format!("{v:.0}")).collect();
-    println!("  window query_p99_us: {}", list.join(" "));
-    let p99 = (!w.is_empty()).then(|| median(&w));
-    if let Some(v) = p99 {
-        println!(
-            "  query_p99_us = {v:.4} us  (median of {} one-second windows)",
-            w.len()
-        );
-    }
-    println!(
-        "  whole-run query_p90_us = {:.4} us",
-        p_or_zero(sorted, 0.90) / 1e3
-    );
-    let mut p999 = None;
-    for (name, q) in [("query_p99_us", 0.99), ("query_p999_us", 0.999)] {
-        match pct(sorted, q) {
-            Some((v, beyond)) if beyond >= MIN_BEYOND => {
-                println!(
-                    "  whole-run {name} = {:.4} us  ({n} samples, {beyond} beyond)",
-                    v as f64 / 1e3
-                );
-                if q == 0.999 {
-                    p999 = Some(v as f64 / 1e3);
-                }
-            }
-            _ => println!(
-                "  whole-run {name}: not reported, fewer than {MIN_BEYOND} of {n} samples beyond it"
-            ),
+    [
+        ("query_p50_us", 0.50),
+        ("query_p90_us", 0.90),
+        ("query_p99_us", 0.99),
+        ("query_p999_us", 0.999),
+    ]
+    .map(|(name, q)| match pct(sorted, q) {
+        Some((v, beyond)) if beyond >= MIN_BEYOND => {
+            let us = v as f64 / 1e3;
+            println!("  {name} = {us:.4} us  ({n} samples, {beyond} beyond)");
+            Some(us)
         }
-    }
-    (p99, p999)
+        _ => {
+            println!("  {name}: not reported, fewer than {MIN_BEYOND} of {n} samples beyond it");
+            None
+        }
+    })
 }
 
-/// The end-to-end metrics of an untraced pass. The SLO-violation share
-/// and peak RSS are medians over the phase's one-second windows, so that
-/// one multi-millisecond stall or one overshoot of the reserve does not
-/// set the figure; whole-run values are printed beside. Query latency
-/// and manager CPU are printed but not in the result: on a 2-core VM they
-/// did not repeat from run to run within the largest allowed bound (the
-/// traced run reports them per layer).
-fn end_to_end(r: &mut Report, p: &Pass) {
-    let sorted = p.sorted_latency();
-    let p50 = window_pcts(p, 0.50);
-    println!(
-        "  query_p50_us = {:.4} us  (median of {} one-second windows; whole run {:.4} us over {} samples)",
-        median(&p50),
-        p50.len(),
-        p_or_zero(&sorted, 0.50) / 1e3,
-        sorted.len()
-    );
-    tail_report(&sorted, p);
+/// Share of all queries sent that failed, went unsent or exceeded the
+/// workload's latency limit, with the counts behind it.
+fn slo_violation_pct(p: &Pass) -> (f64, String) {
     let o = &p.out;
-    let shares: Vec<f64> = whole(&o.windows)
-        .iter()
-        .map(|w| w.violations as f64 / w.due.max(1) as f64 * 100.0)
-        .collect();
-    r.add(
-        "slo_violation_pct",
-        median(&shares),
-        "%",
+    (
+        (o.failed + o.unsent + o.over_limit) as f64 / o.attempted.max(1) as f64 * 100.0,
         format!(
-            "median of {} windows; whole run {:.3}: {} over the limit, {} failed, {} unsent of {}",
-            shares.len(),
-            (o.failed + o.unsent + o.over_limit) as f64 / o.attempted.max(1) as f64 * 100.0,
-            o.over_limit,
-            o.failed,
-            o.unsent,
-            o.attempted
+            "{} over the limit, {} failed, {} unsent of {} queries",
+            o.over_limit, o.failed, o.unsent, o.attempted
         ),
+    )
+}
+
+/// The end-to-end metrics of an untraced pass: the p90 of the one-second
+/// peak resident sets (the whole-phase peak is one overshoot of the
+/// reserve, which some runs have and others not) and the median set-up
+/// time. Query latency, the SLO-violation share and manager CPU are
+/// printed with their sample counts but are not in the result: on a
+/// 2-core VM they did not repeat from run to run within the largest
+/// allowed bound (the traced run reports them per layer).
+fn end_to_end(r: &mut Report, p: &Pass) {
+    latency_report(&p.sorted_latency());
+    let (slo, note) = slo_violation_pct(p);
+    println!("  slo_violation_pct = {slo:.4} %  ({note})");
+    println!(
+        "  runtime_cpu_pct = {:.4} %  (threads the benchmark did not start)",
+        runtime_cpu_pct(p)
     );
-    let (cpu, note) = runtime_cpu(p);
-    println!("  runtime_cpu_pct = {cpu:.4} %  ({note})");
-    let ws = whole(&p.windows);
-    let hwm: Vec<f64> = ws.iter().map(|w| w.hwm_kib as f64 / 1024.0).collect();
+    let list: Vec<String> = p
+        .rss_peaks_kib
+        .iter()
+        .map(|k| format!("{:.1}", *k as f64 / 1024.0))
+        .collect();
+    println!("  window rss peaks (MiB): {}", list.join(" "));
+    // The last window is partial; with only one, it is all there is.
+    let whole = match p.rss_peaks_kib.len() {
+        0 | 1 => &p.rss_peaks_kib[..],
+        n => &p.rss_peaks_kib[..n - 1],
+    };
+    let mut peaks = whole.to_vec();
+    peaks.sort_unstable();
     r.add(
         "rss_peak_mib",
-        median(&hwm),
+        p_or_zero(&peaks, 0.90) / 1024.0,
         "MiB",
         format!(
-            "VmHWM, median of {} window peaks; whole-run peak {:.1}",
-            hwm.len(),
-            hwm.iter().copied().fold(0.0, f64::max)
+            "p90 of {} one-second VmHWM window peaks; whole-phase peak {:.1}",
+            peaks.len(),
+            p.rss_peaks_kib.iter().copied().max().unwrap_or(0) as f64 / 1024.0
         ),
     );
     r.add(
@@ -962,37 +900,39 @@ fn per_layer(r: &mut Report, w: &Workload, base: &Pass, traced: &Pass, reference
     );
 
     // end-to-end latency and manager CPU, from the untraced pass
-    let (cpu, note) = runtime_cpu(base);
     r.add(
         "runtime_cpu_pct",
-        cpu,
+        runtime_cpu_pct(base),
+        "%",
+        "untraced pass; threads the benchmark did not start",
+    );
+    let (slo, note) = slo_violation_pct(base);
+    r.add(
+        "tail.slo_violation_pct",
+        slo,
         "%",
         format!("untraced pass; {note}"),
     );
-    let p50 = window_pcts(base, 0.50);
+    let sorted = base.sorted_latency();
     r.add(
         "tail.query_p50_us",
-        median(&p50),
+        p_or_zero(&sorted, 0.50) / 1e3,
         "us",
-        format!("untraced pass, median of {} one-second windows", p50.len()),
+        format!("untraced pass, {} samples", sorted.len()),
     );
-    let (p99, p999) = tail_report(&base.sorted_latency(), base);
-    r.add(
-        "tail.query_p99_us",
-        p99.unwrap_or(0.0),
-        "us",
-        "untraced pass, median of one-second windows",
-    );
-    r.add(
-        "tail.query_p999_us",
-        p999.unwrap_or(0.0),
-        "us",
-        if p999.is_some() {
-            "untraced pass, whole run"
-        } else {
-            "not reported: fewer than 10 samples beyond it"
-        },
-    );
+    let [_, _, p99, p999] = latency_report(&sorted);
+    for (name, v) in [("tail.query_p99_us", p99), ("tail.query_p999_us", p999)] {
+        r.add(
+            name,
+            v.unwrap_or(0.0),
+            "us",
+            if v.is_some() {
+                "untraced pass"
+            } else {
+                "not reported: fewer than 10 samples beyond it"
+            },
+        );
+    }
 
     // harness
     let mut late = base.out.lateness_ns.clone();
@@ -1052,7 +992,7 @@ fn write_spans(dir: &str, w: &Workload, pass: &Pass) -> std::io::Result<String> 
     Ok(path)
 }
 
-fn print_shape(a: &Args, rate: f64, arenas: Option<usize>) {
+fn print_shape(a: &Args, arenas: Option<usize>) {
     let w = &a.workload;
     let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease").unwrap_or_default();
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
@@ -1078,7 +1018,8 @@ fn print_shape(a: &Args, rate: f64, arenas: Option<usize>) {
         a.backend.label(),
     );
     println!(
-        "#   load: open loop, Poisson arrivals at {rate} queries/s; latency limit {} us; prefill {} records{}{}",
+        "#   load: open loop, Poisson arrivals at {} queries/s; latency limit {} us; prefill {} records{}{}",
+        w.rate,
         w.slo_us,
         w.prefill,
         if w.lazy_free { "; frees on a lazy-free thread" } else { "" },
@@ -1119,16 +1060,15 @@ fn print_report(r: &Report) {
 
 fn run(a: &Args) -> Result<(Report, bool, u64, u64), String> {
     let w = &a.workload;
-    let rate = a.rate.unwrap_or(w.rate);
     if a.closed_loop {
-        let sched = Schedule::open_loop(w, a.seed, rate, a.seconds);
+        let sched = Schedule::open_loop(w, a.seed, a.seconds);
         let mut b = build(w, a.backend, a.seed, 0)?;
         let batch = w.batch.then(Batch::start);
         let qps = load::run_closed_loop(b.svc.as_mut(), &sched, w.svc == Svc::Redis);
         if let Some(b) = batch {
             b.stop();
         }
-        print_shape(a, rate, b.heap().map(|h| h.arenas));
+        print_shape(a, b.heap().map(|h| h.arenas));
         let mut r = Report::default();
         r.add(
             "closed_loop_qps",
@@ -1142,9 +1082,9 @@ fn run(a: &Args) -> Result<(Report, bool, u64, u64), String> {
     let mut r = Report::default();
     let passes = if a.trace {
         let s = a.seconds / 3.0;
-        let base = run_pass(w, Alloc::Hermes, a.seed, rate, s, 1, false)?;
-        let traced = run_pass(w, Alloc::Hermes, a.seed, rate, s, 1, true)?;
-        let reference = run_pass(w, Alloc::System, a.seed, rate, s, 1, false)?;
+        let base = run_pass(w, Alloc::Hermes, a.seed, s, 1, false)?;
+        let traced = run_pass(w, Alloc::Hermes, a.seed, s, 1, true)?;
+        let reference = run_pass(w, Alloc::System, a.seed, s, 1, false)?;
         match write_spans(&a.out, w, &traced) {
             Ok(path) => println!("# spans written to {path}"),
             Err(e) => return Err(format!("writing spans: {e}")),
@@ -1156,7 +1096,7 @@ fn run(a: &Args) -> Result<(Report, bool, u64, u64), String> {
             ("reference", reference),
         ]
     } else {
-        let p = run_pass(w, a.backend, a.seed, rate, a.seconds, SETUPS, false)?;
+        let p = run_pass(w, a.backend, a.seed, a.seconds, SETUPS, false)?;
         end_to_end(&mut r, &p);
         if w.batch {
             println!("  batch_mib_s = {:.4} MiB/s", batch_mib_s(&p));
@@ -1165,7 +1105,6 @@ fn run(a: &Args) -> Result<(Report, bool, u64, u64), String> {
     };
     print_shape(
         a,
-        rate,
         passes.iter().find_map(|(_, p)| p.heap1.map(|h| h.arenas)),
     );
     let (mut attempted, mut failed, mut correct) = (0, 0, true);

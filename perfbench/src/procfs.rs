@@ -182,83 +182,60 @@ pub fn vm_hwm_kib() -> Option<u64> {
 
 /// Resets `VmHWM` to the current resident set (`clear_refs` code 5), so
 /// the next [`vm_hwm_kib`] covers only what follows. Returns `false` when
-/// the kernel refuses, in which case the peak spans the process lifetime.
+/// the kernel refuses.
 pub fn reset_peak_rss() -> bool {
     fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
-/// One window of a [`Monitor`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Window {
-    /// Wall time covered, in nanoseconds.
-    pub wall_ns: u64,
-    /// Peak resident set within the window, in KiB (0 when `VmHWM`
-    /// cannot be reset).
-    pub hwm_kib: u64,
-    /// CPU nanoseconds of the threads not excluded.
-    pub others_cpu_ns: u64,
-}
-
-/// A thread that, once per `period`, reads and resets the process's peak
-/// resident set and reads the CPU time of every thread not excluded.
-pub struct Monitor {
+/// A thread that, once per period, reads the process's peak resident set
+/// and resets it, so that each window's peak is its own.
+pub struct PeakMonitor {
     stop: Arc<AtomicBool>,
-    handle: JoinHandle<Vec<Window>>,
+    handle: JoinHandle<Vec<u64>>,
     /// Kernel tid of the monitor thread.
     pub tid: u64,
 }
 
-impl Monitor {
-    /// Starts monitoring; `exclude` lists the tids whose CPU is not
-    /// counted (the monitor excludes itself).
-    pub fn start(period: Duration, mut exclude: Vec<u64>) -> Self {
+impl PeakMonitor {
+    /// Resets `VmHWM` and starts the monitor; `None` when the kernel
+    /// refuses the reset, so no window peak could be measured.
+    pub fn start(period: Duration) -> Option<Self> {
+        if !reset_peak_rss() {
+            return None;
+        }
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let (tx, rx) = std::sync::mpsc::channel();
         let handle = std::thread::Builder::new()
-            .name("monitor".into())
+            .name("rss-monitor".into())
             .spawn(move || {
-                let me = current_tid().unwrap_or(0);
-                let _ = tx.send(me);
-                exclude.push(me);
-                let resettable = reset_peak_rss();
-                let mut windows = Vec::new();
-                let mut t = Instant::now();
-                let mut threads = read_all_threads();
+                let _ = tx.send(current_tid().unwrap_or(0));
+                let mut peaks = Vec::new();
+                let mut next = Instant::now() + period;
                 loop {
                     let stopping = flag.load(Ordering::Acquire);
-                    if stopping || t.elapsed() >= period {
-                        let now = Instant::now();
-                        let hwm = if resettable {
-                            vm_hwm_kib().unwrap_or(0)
-                        } else {
-                            0
-                        };
+                    if stopping || Instant::now() >= next {
+                        peaks.push(vm_hwm_kib().unwrap_or(0));
                         reset_peak_rss();
-                        let next = read_all_threads();
-                        windows.push(Window {
-                            wall_ns: (now - t).as_nanos() as u64,
-                            hwm_kib: hwm,
-                            others_cpu_ns: others_since(&threads, &next, &exclude).cpu_ns(),
-                        });
-                        t = now;
-                        threads = next;
+                        next += period;
                     }
                     if stopping {
-                        return windows;
+                        return peaks;
                     }
-                    std::thread::sleep(Duration::from_millis(20));
+                    std::thread::park_timeout(next.saturating_duration_since(Instant::now()));
                 }
             })
-            .expect("spawn monitor thread");
+            .expect("spawn rss monitor thread");
         let tid = rx.recv().unwrap_or(0);
-        Monitor { stop, handle, tid }
+        Some(PeakMonitor { stop, handle, tid })
     }
 
-    /// Stops the monitor; returns its windows, the last one partial.
-    pub fn stop(self) -> Vec<Window> {
+    /// Stops the monitor; returns each window's peak in KiB, the last
+    /// window partial.
+    pub fn stop(self) -> Vec<u64> {
         self.stop.store(true, Ordering::Release);
-        self.handle.join().expect("monitor thread panicked")
+        self.handle.thread().unpark();
+        self.handle.join().expect("rss monitor thread panicked")
     }
 }
 
@@ -337,5 +314,14 @@ mod tests {
         assert!(!comm.is_empty());
         assert!(read_all_threads().contains_key(&tid));
         assert!(vm_hwm_kib().unwrap_or(0) > 0);
+    }
+
+    #[test]
+    fn peak_monitor_reports_a_peak_per_window() {
+        let m = PeakMonitor::start(Duration::from_millis(5)).expect("VmHWM resets");
+        std::thread::sleep(Duration::from_millis(30));
+        let peaks = m.stop();
+        assert!(peaks.len() >= 2, "{peaks:?}");
+        assert!(peaks.iter().all(|&k| k > 0), "{peaks:?}");
     }
 }
