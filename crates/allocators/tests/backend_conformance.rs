@@ -153,6 +153,10 @@ fn cross_thread_free_under_remote_queue_stays_lock_free() {
             .with_tcache(true)
             .with_remote_queue(true);
         let mut b = RealHermesBackend::with_heap_config(cfg).expect("arena reservation");
+        // The manager drains every inbox on its own tick; stopped, it
+        // cannot empty the queue before the gauge is read below, and the
+        // only drain is the explicit one.
+        b.heap().stop_manager();
         let label = b.kind().label();
         let main_home = b.heap().home_arena();
         let handles: Vec<_> = (0..48).map(|i| b.malloc(512 + i * 32).unwrap().0).collect();

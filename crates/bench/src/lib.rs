@@ -16,6 +16,7 @@ pub mod json;
 pub mod stats;
 
 use hermes_sim::stats::Summary;
+use std::ffi::OsString;
 use std::path::PathBuf;
 
 /// `true` when `HERMES_FULL=1`: run the paper's full workload volumes.
@@ -55,11 +56,23 @@ pub fn queries_large() -> usize {
     }
 }
 
-/// Directory for CSV outputs (override with `RESULTS_DIR`).
+/// Directory for CSV outputs: `RESULTS_DIR` when set; otherwise
+/// `results/` at the root of the checkout cargo is running from, found
+/// through `CARGO_MANIFEST_DIR` at run time (so a copied checkout writes
+/// into its own tree); otherwise `./results`.
 pub fn results_dir() -> PathBuf {
-    std::env::var("RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"))
+    resolve_results_dir(
+        std::env::var_os("RESULTS_DIR"),
+        std::env::var_os("CARGO_MANIFEST_DIR"),
+    )
+}
+
+fn resolve_results_dir(results: Option<OsString>, manifest: Option<OsString>) -> PathBuf {
+    match (results, manifest) {
+        (Some(dir), _) => PathBuf::from(dir),
+        (None, Some(crate_dir)) => PathBuf::from(crate_dir).join("../../results"),
+        (None, None) => PathBuf::from("results"),
+    }
 }
 
 /// Prints the standard harness header.
@@ -201,6 +214,29 @@ pub fn p99_reduction(ours: &Summary, base: &Summary) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn results_dir_follows_the_run_time_checkout() {
+        let copy = OsString::from("/elsewhere/copy/crates/bench");
+        assert_eq!(
+            resolve_results_dir(None, Some(copy.clone())),
+            PathBuf::from("/elsewhere/copy/crates/bench/../../results")
+        );
+        assert_eq!(
+            resolve_results_dir(Some("/tmp/out".into()), Some(copy)),
+            PathBuf::from("/tmp/out"),
+            "RESULTS_DIR overrides"
+        );
+        assert_eq!(resolve_results_dir(None, None), PathBuf::from("results"));
+        // Under cargo the variable is set at run time, not baked in.
+        if std::env::var_os("RESULTS_DIR").is_none() {
+            let crate_dir = std::env::var_os("CARGO_MANIFEST_DIR").expect("cargo sets it");
+            assert_eq!(
+                results_dir(),
+                PathBuf::from(crate_dir).join("../../results")
+            );
+        }
+    }
 
     #[test]
     fn scale_helpers() {

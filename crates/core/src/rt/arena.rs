@@ -17,14 +17,22 @@
 //!   the embedder; used by the global allocator's portable fallback,
 //!   whose bootstrap must not allocate.
 //!
-//! "Constructing the virtual-physical mapping" is [`Arena::touch`]: one
-//! volatile write per page. The paper delegates this to the kernel via
-//! `mlock(2)`, which it measures as ≥40 % faster; portable Rust without
-//! libc uses the write loop (the substitution is recorded in DESIGN.md).
+//! "Constructing the virtual-physical mapping" is [`Arena::touch`]. The
+//! paper delegates this to the kernel via `mlock(2)`, which it measures
+//! as ≥40 % faster than touching pages; here the kernel does it through
+//! one `madvise(MADV_POPULATE_WRITE)` call over the range (Linux ≥ 5.14),
+//! and only where the kernel refuses does a per-page read-and-rewrite
+//! loop fault the pages in (DESIGN.md §1).
+//!
+//! The arena itself takes no locks. Its embedders decide what runs under
+//! theirs: the management thread builds mappings for memory no other
+//! thread can reach yet with its shard lock dropped, and keeps every
+//! decommit under the lock (see `manager.rs`).
 
-use crate::platform::{platform, HUGE_PAGE_SIZE};
+use crate::platform::{platform, PopulateError, HUGE_PAGE_SIZE};
 use std::fmt;
 use std::ptr::NonNull;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Page size assumed by the allocator (4 KiB).
 pub const PAGE: usize = 4096;
@@ -74,9 +82,78 @@ pub struct Arena {
 // SAFETY: the arena exclusively owns its region; all access goes through
 // `&self`/`&mut self` methods whose callers provide synchronisation.
 unsafe impl Send for Arena {}
-// SAFETY: as above; `touch` takes `&self` but writes are per-page
-// idempotent stores used only under the embedding allocator's locks.
+// SAFETY: as above; `touch` takes `&self` but only builds mappings (its
+// fallback loop rewrites each page's first byte with itself), and only
+// on ranges its caller owns.
 unsafe impl Sync for Arena {}
+
+/// Set once the kernel answers `MADV_POPULATE_WRITE` with `EINVAL`
+/// (Linux < 5.14): every later touch goes straight to the loop instead
+/// of repeating a call the kernel will never accept.
+static POPULATE_REFUSED: AtomicBool = AtomicBool::new(false);
+
+/// Builds the mappings of the page-aligned range `[base, base+len)` with
+/// one kernel call. Returns `false`, leaving the range as it was, when
+/// the kernel refuses. Never writes to the memory, so the range may hold
+/// live data that other threads are writing.
+///
+/// # Safety
+///
+/// The range must lie inside a live arena reservation.
+pub(crate) unsafe fn populate(base: NonNull<u8>, len: usize) -> bool {
+    if len == 0 {
+        return true;
+    }
+    if POPULATE_REFUSED.load(Ordering::Relaxed) {
+        return false;
+    }
+    // SAFETY: forwarded caller contract.
+    match unsafe { platform().populate(base, len) } {
+        Ok(()) => true,
+        Err(PopulateError::Unsupported) => {
+            POPULATE_REFUSED.store(true, Ordering::Relaxed);
+            false
+        }
+        Err(PopulateError::Failed) => false,
+    }
+}
+
+/// Commits the page-aligned range `[base, base+len)`: [`populate`], else
+/// the per-page loop.
+///
+/// # Safety
+///
+/// As [`touch_loop`].
+pub(crate) unsafe fn touch_pages(base: NonNull<u8>, len: usize) {
+    // SAFETY: forwarded caller contract.
+    unsafe {
+        if !populate(base, len) {
+            touch_loop(base, len);
+        }
+    }
+}
+
+/// The fallback commit: reads and rewrites the first byte of every page,
+/// which costs two faults per page on Linux (the read maps the shared
+/// zero page, the write copies it). The bytes keep their values.
+///
+/// # Safety
+///
+/// The range must lie inside a live arena reservation, and no other
+/// thread may write to it during the call: a store landing between the
+/// loop's read and its rewrite would be lost.
+pub(crate) unsafe fn touch_loop(base: NonNull<u8>, len: usize) {
+    let mut page = 0;
+    while page < len {
+        // SAFETY: the page is inside the range; volatile prevents the
+        // store from being elided, forcing a real fault.
+        unsafe {
+            let p = base.as_ptr().add(page);
+            std::ptr::write_volatile(p, std::ptr::read_volatile(p));
+        }
+        page += PAGE;
+    }
+}
 
 impl Arena {
     /// Reserves a fixed-size arena of `capacity` bytes (page multiple).
@@ -286,31 +363,41 @@ impl Arena {
         unsafe { self.base.as_ptr().add(offset) }
     }
 
-    /// Constructs the virtual-physical mapping for `[offset, offset+len)`
-    /// by touching one byte per page (zero-fill commit).
+    /// The whole pages covering `[offset, offset+len)`, as a base pointer
+    /// and a length (0 for an empty range).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range leaves the arena.
+    pub(crate) fn pages(&self, offset: usize, len: usize) -> (NonNull<u8>, usize) {
+        let end = offset
+            .checked_add(len)
+            .filter(|&e| e <= self.capacity)
+            .expect("touch range out of arena");
+        let first = offset / PAGE * PAGE;
+        let span = if len == 0 {
+            0
+        } else {
+            end.div_ceil(PAGE) * PAGE - first
+        };
+        // SAFETY: `first <= offset <= capacity`, inside the region.
+        let base = unsafe { NonNull::new_unchecked(self.base.as_ptr().add(first)) };
+        (base, span)
+    }
+
+    /// Constructs the virtual-physical mapping for the pages covering
+    /// `[offset, offset+len)`: one `MADV_POPULATE_WRITE` call, or the
+    /// per-page loop where the kernel refuses it. Bytes already in the
+    /// range keep their values.
     ///
     /// # Panics
     ///
     /// Panics if the range leaves the arena.
     pub fn touch(&self, offset: usize, len: usize) {
-        assert!(
-            offset.checked_add(len).is_some_and(|e| e <= self.capacity),
-            "touch range out of arena"
-        );
-        if len == 0 {
-            return;
-        }
-        let first = offset / PAGE * PAGE;
-        let mut page = first;
-        while page < offset + len {
-            // SAFETY: page is within the arena; volatile prevents the
-            // store from being elided, forcing a real fault.
-            unsafe {
-                let p = self.base.as_ptr().add(page);
-                std::ptr::write_volatile(p, std::ptr::read_volatile(p));
-            }
-            page += PAGE;
-        }
+        let (base, span) = self.pages(offset, len);
+        // SAFETY: the pages lie inside this arena, and `&self` callers
+        // commit only memory they own.
+        unsafe { touch_pages(base, span) };
     }
 }
 
@@ -373,6 +460,100 @@ mod tests {
             *a.at(100) = 7;
             assert_eq!(*a.at(100), 7);
         }
+    }
+
+    #[test]
+    fn pages_cover_the_range() {
+        let a = Arena::reserve(PAGE * 8).unwrap();
+        let base = a.base().as_ptr() as usize;
+        let (p, n) = a.pages(100, PAGE * 2);
+        assert_eq!((p.as_ptr() as usize - base, n), (0, PAGE * 3));
+        let (p, n) = a.pages(PAGE * 2, PAGE);
+        assert_eq!((p.as_ptr() as usize - base, n), (PAGE * 2, PAGE));
+        assert_eq!(a.pages(PAGE * 8, 0).1, 0);
+    }
+
+    /// Writes a distinct byte at two offsets in every page of `a`.
+    fn stamp(a: &Arena, pages: usize) {
+        for i in 0..pages {
+            // SAFETY: inside the arena; single-threaded test.
+            unsafe {
+                *a.at(i * PAGE) = i as u8 ^ 0x5A;
+                *a.at(i * PAGE + 777) = i as u8 ^ 0xA5;
+            }
+        }
+    }
+
+    fn assert_stamped(a: &Arena, pages: usize) {
+        for i in 0..pages {
+            // SAFETY: as `stamp`.
+            unsafe {
+                assert_eq!(*a.at(i * PAGE), i as u8 ^ 0x5A, "page {i} first byte");
+                assert_eq!(*a.at(i * PAGE + 777), i as u8 ^ 0xA5, "page {i} inner byte");
+            }
+        }
+    }
+
+    #[test]
+    fn second_touch_keeps_written_bytes() {
+        const PAGES: usize = 16;
+        let a = Arena::reserve(PAGE * PAGES).unwrap();
+        a.touch(0, PAGE * PAGES);
+        stamp(&a, PAGES);
+        // Populate path (or the loop, where the kernel refuses it).
+        a.touch(0, PAGE * PAGES);
+        assert_stamped(&a, PAGES);
+        // The fallback loop, reached directly.
+        let (base, span) = a.pages(0, PAGE * PAGES);
+        // SAFETY: inside the arena; no other thread writes to it.
+        unsafe { touch_loop(base, span) };
+        assert_stamped(&a, PAGES);
+    }
+
+    #[test]
+    fn fallback_loop_commits_fresh_pages() {
+        const PAGES: usize = 8;
+        let a = Arena::reserve(PAGE * PAGES).unwrap();
+        let (base, span) = a.pages(0, PAGE * PAGES);
+        // SAFETY: inside the arena; no other thread writes to it.
+        unsafe { touch_loop(base, span) };
+        stamp(&a, PAGES);
+        assert_stamped(&a, PAGES);
+    }
+
+    /// Minor faults the calling thread has taken (`/proc/thread-self/stat`
+    /// field 10).
+    #[cfg(hermes_mmap)]
+    fn thread_minflt() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("thread stat");
+        // Fields after the parenthesised comm start at field 3 (state).
+        let rest = &stat[stat.rfind(')').expect("comm") + 1..];
+        rest.split_whitespace()
+            .nth(7)
+            .and_then(|f| f.parse().ok())
+            .expect("minflt field")
+    }
+
+    #[cfg(hermes_mmap)]
+    #[test]
+    fn touch_costs_one_fault_per_page() {
+        const PAGES: u64 = 256;
+        let a = Arena::reserve(PAGE * PAGES as usize).unwrap();
+        thread_minflt(); // warm the read path's own allocations
+        let before = thread_minflt();
+        a.touch(0, a.capacity());
+        let faults = thread_minflt() - before;
+        if POPULATE_REFUSED.load(Ordering::Relaxed) {
+            // Kernel before 5.14: the loop ran (fallback tests cover it).
+            eprintln!("MADV_POPULATE_WRITE refused; touch took {faults} faults");
+            return;
+        }
+        assert!(
+            faults <= PAGES + 8,
+            "touch of {PAGES} fresh pages took {faults} minor faults"
+        );
+        stamp(&a, PAGES as usize);
+        assert_stamped(&a, PAGES as usize);
     }
 
     #[test]

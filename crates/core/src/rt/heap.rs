@@ -7,9 +7,12 @@
 //! are served from free bins or carved from the top chunk; when the top
 //! chunk runs out the break is extended (`sbrk`). What makes expansion
 //! slow in practice is constructing virtual-physical mappings for fresh
-//! pages — modelled here by really touching never-before-touched arena
-//! pages — and Hermes' management thread calls [`RawHeap::sbrk_commit`]
-//! ahead of demand so allocations stay on the fast path.
+//! pages — modelled here by really building the mappings of
+//! never-committed arena pages ([`Arena::touch`]) — and Hermes'
+//! management thread extends the break and builds its mappings ahead of
+//! demand so allocations stay on the fast path. It does the building
+//! with the heap lock dropped (`RawHeap::sbrk_extend` hands out the
+//! range, `RawHeap::publish_commit` raises the watermark afterwards).
 //!
 //! Chunk format (16-byte header, 16-byte granularity):
 //!
@@ -103,6 +106,32 @@ impl fmt::Display for HeapError {
 }
 
 impl std::error::Error for HeapError {}
+
+/// Fresh break whose mappings the management thread builds with the heap
+/// lock dropped: returned by [`RawHeap::sbrk_extend`], published by
+/// [`RawHeap::publish_commit`].
+#[derive(Debug)]
+pub(crate) struct PendingCommit {
+    /// First uncommitted page of the range.
+    base: NonNull<u8>,
+    /// Bytes from `base` to `end` (0 when already committed).
+    len: usize,
+    /// Heap offset the committed watermark may rise to.
+    end: usize,
+}
+
+impl PendingCommit {
+    /// Builds the range's mappings with one `MADV_POPULATE_WRITE` call.
+    /// Safe without the heap lock: the call never writes to the range,
+    /// so blocks a foreground carve hands out of it meanwhile keep what
+    /// their owners store. Returns `false` where the kernel refuses;
+    /// [`RawHeap::publish_commit`] then commits the range under the lock.
+    pub(crate) fn populate(&self) -> bool {
+        // SAFETY: the range lies inside the heap's arena, whose mapping
+        // lives as long as the heap and never shrinks its capacity.
+        unsafe { super::arena::populate(self.base, self.len) }
+    }
+}
 
 /// The raw (unsynchronised) heap. Embedders wrap it in a lock; the heap
 /// lock serialisation is precisely what the paper's gradual reservation
@@ -349,22 +378,51 @@ impl RawHeap {
     }
 
     /// Extends the program break by `bytes` **and** constructs the
-    /// mappings (the management thread's reservation step; Algorithm 1
-    /// lines 11–15 run this under the heap lock). Mapped arenas grow
+    /// mappings (Algorithm 1 lines 11–15 in one step). Mapped arenas grow
     /// their exposed capacity on demand, up to the reservation.
     ///
     /// # Errors
     ///
     /// [`HeapError::OutOfSpace`] when the arena cannot grow that far.
     pub fn sbrk_commit(&mut self, bytes: usize) -> Result<(), HeapError> {
+        let pending = self.sbrk_extend(bytes)?;
+        self.commit_to(pending.end);
+        Ok(())
+    }
+
+    /// The first half of [`RawHeap::sbrk_commit`]: extends the break by
+    /// `bytes` and returns the part of it above the committed watermark,
+    /// for the caller to populate after releasing the heap lock.
+    /// Until [`RawHeap::publish_commit`] raises the watermark, a carve
+    /// into that range commits its own pages as usual.
+    pub(crate) fn sbrk_extend(&mut self, bytes: usize) -> Result<PendingCommit, HeapError> {
         let new_brk = round_up(self.brk_off + bytes, PAGE);
         // One tail page stays in reserve for the top-position prev_size stamp.
         if !self.ensure_capacity(new_brk) {
             return Err(HeapError::OutOfSpace);
         }
         self.brk_off = new_brk;
-        self.commit_to(new_brk);
-        Ok(())
+        let start = self.committed_off.min(new_brk);
+        Ok(PendingCommit {
+            // SAFETY: `start <= new_brk <= capacity`.
+            base: unsafe { NonNull::new_unchecked(self.arena.at(start)) },
+            len: new_brk - start,
+            end: new_brk,
+        })
+    }
+
+    /// The second half: raises the committed watermark over a range
+    /// [`PendingCommit::populate`] built (never lowering it — a carve may
+    /// have committed further meanwhile). When the populate was refused
+    /// (`populated == false`), commits the range here, under the lock;
+    /// every byte above the watermark is still unallocated, so the
+    /// fallback loop cannot race a writer.
+    pub(crate) fn publish_commit(&mut self, pending: PendingCommit, populated: bool) {
+        if populated {
+            self.committed_off = self.committed_off.max(pending.end);
+        } else {
+            self.commit_to(pending.end);
+        }
     }
 
     /// Returns the committed pages above the (already trimmed) program
@@ -1067,6 +1125,53 @@ mod tests {
         assert_eq!(h.stats().backing_reserved, PAGE * 2048);
         // Exhaustion still reports once the reservation itself is spent.
         assert!(h.malloc(PAGE * 4096).is_none());
+        // SAFETY: p live.
+        unsafe { h.free(p) };
+        h.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn publish_after_a_racing_carve_keeps_the_watermark() {
+        for populated in [true, false] {
+            let mut h = heap(256);
+            let pending = h.sbrk_extend(PAGE * 8).unwrap();
+            assert_eq!(h.stats().committed, PAGE, "extend builds no mappings");
+            let ok = pending.populate();
+            // A foreground carve runs past the pending range before the
+            // manager re-locks to publish it.
+            let p = h.malloc(PAGE * 12).unwrap();
+            // SAFETY: fresh allocation of 12 pages.
+            unsafe { std::ptr::write_bytes(p.as_ptr(), 0x6D, PAGE * 12) };
+            let committed = h.stats().committed;
+            assert!(committed > pending.end);
+            h.publish_commit(pending, ok && populated);
+            assert_eq!(h.stats().committed, committed, "never lowered");
+            // SAFETY: p is live for 12 pages.
+            unsafe {
+                assert_eq!(*p.as_ptr(), 0x6D);
+                assert_eq!(*p.as_ptr().add(PAGE * 12 - 1), 0x6D);
+            }
+            h.check_integrity().unwrap();
+            // SAFETY: p live.
+            unsafe { h.free(p) };
+            h.check_integrity().unwrap();
+        }
+    }
+
+    #[test]
+    fn published_reserve_serves_without_faults() {
+        let mut h = heap(256);
+        let pending = h.sbrk_extend(PAGE * 16).unwrap();
+        let populated = pending.populate();
+        h.publish_commit(pending, populated);
+        assert!(h.reserve_ready() >= PAGE * 15);
+        let faults = h.stats().demand_touched_pages;
+        let p = h.malloc(PAGE * 8).unwrap();
+        assert_eq!(
+            h.stats().demand_touched_pages,
+            faults,
+            "served from reserve"
+        );
         // SAFETY: p live.
         unsafe { h.free(p) };
         h.check_integrity().unwrap();

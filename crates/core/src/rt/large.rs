@@ -7,6 +7,11 @@
 //! hand-outs are registered in the [`DelayedShrinkSet`] and trimmed back on
 //! the next management round, so the requester never waits for the shrink.
 //!
+//! The management thread builds a reserved chunk's pages with the pool
+//! lock dropped (`LargePool::carve_reserved`, `ReservedChunk::populate`,
+//! `LargePool::insert_reserved`); trims and their decommits stay under
+//! the lock.
+//!
 //! Divergence from the paper (recorded in DESIGN.md): `mremap`-style
 //! in-place expansion is not portably available without libc, so "expand
 //! the largest chunk" falls back to carving a fresh chunk. Trimmed and
@@ -16,7 +21,7 @@
 //! extent is marked cold so reuse honestly pays (and counts) the
 //! mapping-construction faults again.
 
-use super::arena::{Arena, PAGE};
+use super::arena::{touch_pages, Arena, PAGE};
 use crate::policy::{DelayedShrinkSet, MmapChunk, PoolHit, SegregatedFreeList};
 use std::fmt;
 use std::ptr::NonNull;
@@ -46,7 +51,8 @@ pub struct LargeStats {
     pub cold_allocs: u64,
     /// Pages touched on the cold path.
     pub demand_touched_pages: u64,
-    /// Bytes recycled through the extent list.
+    /// Bytes recycled through the extent list (a running gauge, so a
+    /// snapshot never walks the list).
     pub extent_bytes: usize,
     /// Total reserved address range of the backing arena.
     pub backing_reserved: usize,
@@ -83,6 +89,37 @@ struct Extent {
     off: usize,
     size: usize,
     warm: bool,
+}
+
+/// A chunk carved for the pool by [`LargePool::carve_reserved`] and not
+/// yet inserted. It sits in neither the pool nor the extent list, so no
+/// other thread can reach it while the manager builds its pages with
+/// the pool lock dropped.
+#[derive(Debug)]
+pub(crate) struct ReservedChunk {
+    off: usize,
+    size: usize,
+    /// Recycled extent whose pages are still resident: nothing to build.
+    warm: bool,
+    base: NonNull<u8>,
+}
+
+impl ReservedChunk {
+    /// Chunk size in bytes.
+    pub(crate) fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Builds the chunk's mappings (no-op for a warm chunk): one
+    /// `MADV_POPULATE_WRITE` call, or the per-page loop where the kernel
+    /// refuses it — safe here because the chunk has no other user.
+    pub(crate) fn populate(&self) {
+        if !self.warm {
+            // SAFETY: the chunk lies inside the pool's arena and is owned
+            // by the caller until inserted.
+            unsafe { touch_pages(self.base, self.size) };
+        }
+    }
 }
 
 /// The large-chunk allocator.
@@ -139,7 +176,6 @@ impl LargePool {
     pub fn stats(&self) -> LargeStats {
         LargeStats {
             pool_bytes: self.pool.total_size(),
-            extent_bytes: self.extents.iter().map(|e| e.size).sum(),
             backing_reserved: self.arena.reserved(),
             committed: self.committed,
             ..self.stats
@@ -168,6 +204,7 @@ impl LargePool {
         }
         if let Some((i, sz)) = best {
             let e = self.extents.swap_remove(i);
+            self.stats.extent_bytes -= need;
             if sz > need {
                 self.extents.push(Extent {
                     off: e.off + need,
@@ -211,6 +248,7 @@ impl LargePool {
             size,
             warm: freed == 0,
         });
+        self.stats.extent_bytes += size;
     }
 
     fn write_header(&mut self, payload_off: usize, chunk_off: usize, chunk_size: usize) {
@@ -318,7 +356,7 @@ impl LargePool {
         self.process_delayed_shrink();
         let mut reserved = 0;
         if self.pool.total_size() < rsv_thr {
-            let step = round_up(mem_chunk.max(self.min_mmap), PAGE);
+            let step = self.reserve_step(mem_chunk);
             while self.pool.total_size() < tgt_mem {
                 if !self.reserve_chunk(step) {
                     break;
@@ -326,33 +364,69 @@ impl LargePool {
                 reserved += 1;
             }
         }
+        self.trim_to(trim_thr);
+        reserved
+    }
+
+    /// Size of one reservation step for a `mem_chunk` target: at least
+    /// the mmap threshold, page-rounded.
+    pub(crate) fn reserve_step(&self, mem_chunk: usize) -> usize {
+        round_up(mem_chunk.max(self.min_mmap), PAGE)
+    }
+
+    /// Releases the smallest pool chunks, decommitting them into the
+    /// extent list, until at most `trim_thr` bytes stay pooled. Returns
+    /// the bytes released.
+    pub(crate) fn trim_to(&mut self, trim_thr: usize) -> usize {
+        let mut released = 0;
         while self.pool.total_size() > trim_thr {
             match self.pool.take_smallest() {
-                Some(c) => self.push_extent(c.id as usize, c.size),
+                Some(c) => {
+                    self.push_extent(c.id as usize, c.size);
+                    released += c.size;
+                }
                 None => break,
             }
         }
-        reserved
+        released
     }
 
     /// Carves and pre-touches one chunk of `bytes`, adding it to the pool.
     /// Returns `false` when the arena is exhausted.
     pub fn reserve_chunk(&mut self, bytes: usize) -> bool {
-        let need = round_up(bytes, PAGE);
-        match self.carve(need) {
-            Some((off, warm)) => {
-                if !warm {
-                    self.arena.touch(off, need);
-                    self.committed += need;
-                }
-                self.pool.insert(MmapChunk {
-                    id: off as u64,
-                    size: need,
-                });
+        match self.carve_reserved(bytes) {
+            Some(chunk) => {
+                chunk.populate();
+                self.insert_reserved(chunk);
                 true
             }
             None => false,
         }
+    }
+
+    /// Carves a chunk of `bytes` (page-rounded) for the pool without
+    /// building its pages; `None` when the arena is exhausted.
+    pub(crate) fn carve_reserved(&mut self, bytes: usize) -> Option<ReservedChunk> {
+        let size = round_up(bytes, PAGE);
+        let (off, warm) = self.carve(size)?;
+        Some(ReservedChunk {
+            off,
+            size,
+            warm,
+            // SAFETY: the chunk lies inside the arena.
+            base: unsafe { NonNull::new_unchecked(self.arena.at(off)) },
+        })
+    }
+
+    /// Adds a [`ReservedChunk`] — populated by now — to the pool.
+    pub(crate) fn insert_reserved(&mut self, chunk: ReservedChunk) {
+        if !chunk.warm {
+            self.committed += chunk.size;
+        }
+        self.pool.insert(MmapChunk {
+            id: chunk.off as u64,
+            size: chunk.size,
+        });
     }
 
     /// Applies the delayed shrink set: each over-sized live chunk is cut
@@ -490,6 +564,61 @@ mod tests {
         assert_eq!(p.bump_off, bump_before, "served from extents");
         // SAFETY: b live.
         unsafe { p.free(b) };
+    }
+
+    #[test]
+    fn reserved_chunk_is_unreachable_until_inserted() {
+        let mut p = pool(16);
+        let chunk = p.carve_reserved(512 * KB).unwrap();
+        assert_eq!(p.pool_total(), 0, "carved, not pooled");
+        // A foreground allocation meanwhile gets other memory.
+        let a = p.alloc(256 * KB, PAGE).unwrap();
+        assert!(
+            !(chunk.base.as_ptr()..chunk.base.as_ptr().wrapping_add(chunk.size))
+                .contains(&a.as_ptr()),
+            "foreground never lands in a pending chunk"
+        );
+        let committed = p.stats().committed;
+        chunk.populate();
+        p.insert_reserved(chunk);
+        assert_eq!(p.pool_total(), 512 * KB);
+        assert_eq!(p.stats().committed, committed + 512 * KB);
+        let cold = p.stats().cold_allocs;
+        let b = p.alloc(300 * KB, PAGE).unwrap();
+        assert_eq!(
+            p.stats().cold_allocs,
+            cold,
+            "served from the inserted chunk"
+        );
+        // SAFETY: both live.
+        unsafe {
+            p.free(a);
+            p.free(b);
+        }
+    }
+
+    #[test]
+    fn extent_gauge_matches_the_list() {
+        let mut p = pool(64);
+        let mut live = Vec::new();
+        for i in 0..12 {
+            live.push(p.alloc(THRESH + i * 48 * KB, PAGE).unwrap());
+        }
+        for a in live.drain(..) {
+            // SAFETY: each pointer is live exactly once.
+            unsafe { p.free(a) };
+        }
+        p.management_round(0, 0, 0, 256 * KB);
+        for i in 0..6 {
+            live.push(p.alloc(THRESH + i * 100 * KB, PAGE).unwrap());
+        }
+        let listed: usize = p.extents.iter().map(|e| e.size).sum();
+        assert!(listed > 0);
+        assert_eq!(p.stats().extent_bytes, listed);
+        for a in live {
+            // SAFETY: each pointer is live exactly once.
+            unsafe { p.free(a) };
+        }
     }
 
     #[test]

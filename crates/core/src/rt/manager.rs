@@ -6,12 +6,24 @@
 //! trackers — reservation follows each arena's burst profile — and then:
 //!
 //! * **heap side** (Algorithm 1) — if the shard's committed top-chunk
-//!   reserve is below `RSV_THR`, *gradually* extends and touches the break
-//!   in `MEM_CHUNK`-sized steps, taking that shard's heap lock per step so
-//!   concurrent `malloc`s interleave (Figure 6(b)); trims above `TRIM_THR`;
+//!   reserve is below `RSV_THR`, *gradually* extends the break in
+//!   `MEM_CHUNK`-sized steps (Figure 6(b)); trims above `TRIM_THR`;
 //! * **mmap side** (Algorithm 2) — processes the shard's delayed-shrink
 //!   set, refills its segregated pool to `TGT_MEM`, releases above
 //!   `TRIM_THR`.
+//!
+//! Building page mappings is the slow part of a round, and it runs with
+//! the shard lock dropped. A heap step extends the break under the heap
+//! lock, populates the fresh range unlocked, and re-locks only to raise
+//! the committed watermark; a pool refill carves its chunk under the
+//! large lock, populates it unlocked, and re-locks to insert it. A
+//! foreground `malloc` never waits for the manager's page faults.
+//! Decommits (heap trim, pool trim, delayed shrink) stay
+//! under the lock: a `MADV_DONTNEED` that raced a carve of the same
+//! pages would drop live data. Rounds are serialised — this thread and
+//! [`HermesHeap::run_management_round`](super::HermesHeap::run_management_round)
+//! share one gate — so a trim never runs while another round has a
+//! populate in flight.
 //!
 //! Reservation and trim byte counters are recorded on the shard they
 //! belong to; round bookkeeping lands on the runtime-wide counters.
@@ -112,6 +124,7 @@ fn manager_loop(shared: Arc<Shared>, stop_rx: Receiver<()>) {
 /// crate so tests and deterministic benchmarks can drive it without a
 /// live thread.
 pub(crate) fn run_round(shared: &Shared) {
+    let _serial = lock(&shared.round_gate);
     let t0 = Instant::now();
     for (i, shard) in shared.shards.iter().enumerate() {
         if shared.cfg.remote_queue {
@@ -171,8 +184,8 @@ fn heap_round(shared: &Shared, shard: &Shard) {
         (th, g.raw.reserve_ready(), g.raw.top_free())
     };
     if ready < th.rsv_thr {
-        // Gradual reservation: one lock acquisition per MEM_CHUNK step, so
-        // a burst of mallocs is blocked only for a single small step.
+        // Gradual reservation: the lock is held only to extend the break
+        // and to publish each MEM_CHUNK step, never while pages fault in.
         let deficit = th.tgt_mem - ready;
         let plan = if shared.cfg.gradual_reservation {
             ReservationPlan::new(deficit, th.mem_chunk)
@@ -180,11 +193,11 @@ fn heap_round(shared: &Shared, shard: &Shard) {
             ReservationPlan::bulk(deficit)
         };
         for step in plan {
-            let mut g = lock(&shard.heap);
-            if g.raw.sbrk_commit(step).is_err() {
+            let Ok(pending) = lock(&shard.heap).raw.sbrk_extend(step) else {
                 return; // arena exhausted: stop reserving
-            }
-            drop(g);
+            };
+            let populated = pending.populate();
+            lock(&shard.heap).raw.publish_commit(pending, populated);
             Counters::add(&shard.counters.reserved_bytes, step as u64);
         }
     } else if top_free > th.trim_thr {
@@ -202,17 +215,30 @@ fn heap_round(shared: &Shared, shard: &Shard) {
 fn large_round(shard: &Shard) {
     let mut g = lock(&shard.large);
     let th = g.tracker.roll_interval();
-    let before = g.pool.pool_total();
     let decommitted_before = g.pool.stats().decommitted;
-    g.pool
-        .management_round(th.rsv_thr, th.tgt_mem, th.trim_thr, th.mem_chunk);
-    let after = g.pool.pool_total();
+    g.pool.process_delayed_shrink();
+    let mut reserved = 0;
+    if g.pool.pool_total() < th.rsv_thr {
+        // Refill toward TGT_MEM one chunk at a time, building each
+        // chunk's pages with the lock dropped. Bounded by the deficit
+        // seen here, so foreground takes cannot keep the round going.
+        let deficit = th.tgt_mem.saturating_sub(g.pool.pool_total());
+        let step = g.pool.reserve_step(th.mem_chunk);
+        while reserved < deficit && g.pool.pool_total() < th.tgt_mem {
+            let Some(chunk) = g.pool.carve_reserved(step) else {
+                break; // arena exhausted
+            };
+            drop(g);
+            chunk.populate();
+            g = lock(&shard.large);
+            reserved += chunk.size();
+            g.pool.insert_reserved(chunk);
+        }
+    }
+    let trimmed = g.pool.trim_to(th.trim_thr);
     let decommitted = g.pool.stats().decommitted - decommitted_before;
     drop(g);
-    if after > before {
-        Counters::add(&shard.counters.reserved_bytes, (after - before) as u64);
-    } else {
-        Counters::add(&shard.counters.trimmed_bytes, (before - after) as u64);
-    }
+    Counters::add(&shard.counters.reserved_bytes, reserved as u64);
+    Counters::add(&shard.counters.trimmed_bytes, trimmed as u64);
     Counters::add(&shard.counters.decommitted_bytes, decommitted);
 }

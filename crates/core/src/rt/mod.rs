@@ -263,6 +263,10 @@ pub(crate) struct Shared {
     /// NUMA nodes discovered at construction (>= 1). More than one
     /// switches home-shard selection to node-local placement.
     pub numa_nodes: usize,
+    /// Serialises management rounds (the manager thread and
+    /// [`HermesHeap::run_management_round`]): a round populates with the
+    /// shard locks dropped, and no other round's trim may run meanwhile.
+    pub round_gate: Mutex<()>,
 }
 
 impl Shared {
@@ -462,6 +466,7 @@ impl HermesHeap {
             reclaim_epoch: AtomicU64::new(0),
             max_request,
             numa_nodes,
+            round_gate: Mutex::new(()),
         });
         HermesHeap {
             shared,
@@ -619,11 +624,12 @@ impl HermesHeap {
     /// they are included. Other threads' partial chains return when
     /// those threads flush (batch boundary, epoch reclaim, or exit).
     /// The manager does this every round; embedders quiescing for an
-    /// exact accounting checkpoint can force it here.
+    /// exact accounting checkpoint can force it here (a drain already in
+    /// progress, such as the manager's, is waited for).
     pub fn drain_remote_inboxes(&self) {
         tcache::flush_remote_current_thread(&self.shared);
         for i in 0..self.shared.shards.len() {
-            remote::drain(&self.shared, i, usize::MAX);
+            remote::drain_all(&self.shared, i);
         }
     }
 
@@ -1339,6 +1345,36 @@ mod tests {
         assert_eq!(c.remote_queued_blocks, 0);
         assert_eq!(c.remote_queued_bytes, 0);
         assert_eq!(h.heap_stats().live, 0);
+        h.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn drain_remote_inboxes_waits_for_a_drain_in_progress() {
+        let h =
+            Arc::new(HermesHeap::new(small_with_remote(false, true).with_arena_count(4)).unwrap());
+        let n = remote::REMOTE_BATCH * 2;
+        let (addrs, owner) = alloc_on_foreign_home(&h, 256, n);
+        for &addr in &addrs {
+            // SAFETY: live, freed once, layout as allocated.
+            unsafe { h.deallocate(NonNull::new(addr as *mut u8).unwrap(), layout(256)) };
+        }
+        // Another drainer (the manager, say) holds the owner's gate.
+        let gate = lock(&h.shared.shards[owner].remote.drain_gate);
+        let hh = Arc::clone(&h);
+        let checkpoint = std::thread::spawn(move || {
+            hh.drain_remote_inboxes();
+            hh.counters().remote_queued_blocks
+        });
+        // Give the checkpoint time to block on the gate. Were it late,
+        // it would find the gate free and the test would pass without
+        // the wait; it can never fail spuriously.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        drop(gate);
+        assert_eq!(
+            checkpoint.join().unwrap(),
+            0,
+            "the checkpoint drained after the other drainer let go"
+        );
         h.check_integrity().unwrap();
     }
 

@@ -36,7 +36,7 @@ use super::stats::Counters;
 use super::{lock, try_lock, Shared};
 use crossbeam::queue::SegQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Blocks per chain: one queue push (and one owner-side lock acquisition
 /// at drain) amortised over this many cross-shard frees.
@@ -70,11 +70,12 @@ pub(crate) struct RemoteInbox {
     queued_blocks: AtomicU64,
     /// Gauge: bytes staged or queued, chunk granularity.
     queued_bytes: AtomicU64,
-    /// Serialises drains of this inbox. `try_lock`-only: a second
-    /// drainer (or a re-entrant one, when a queue pop frees a segment
-    /// through the global allocator and lands back here) skips instead
-    /// of stacking up behind the first.
-    drain_gate: Mutex<()>,
+    /// Serialises drains of this inbox. Allocator paths and the manager
+    /// only `try_lock` it: a second drainer (or a re-entrant one, when a
+    /// queue pop frees a segment through the global allocator and lands
+    /// back here) skips instead of stacking up behind the first. Only
+    /// [`drain_all`] waits for it.
+    pub(super) drain_gate: Mutex<()>,
 }
 
 impl RemoteInbox {
@@ -118,14 +119,29 @@ impl RemoteInbox {
 /// thread; concurrent drains of the same shard skip (gate). The caller
 /// must not hold the shard's heap lock.
 pub(crate) fn drain(shared: &Shared, idx: usize, max_chains: usize) -> u64 {
-    let shard = &shared.shards[idx];
-    let inbox = &shard.remote;
+    let inbox = &shared.shards[idx].remote;
     if inbox.queue.is_empty() {
         return 0;
     }
-    let Some(_gate) = try_lock(&inbox.drain_gate) else {
+    let Some(gate) = try_lock(&inbox.drain_gate) else {
         return 0;
     };
+    drain_gated(shared, idx, max_chains, gate)
+}
+
+/// Drains every chain queued for shard `idx`, first waiting out a drain
+/// already in progress — so every chain pushed before the call is back
+/// in the heap on return. Takes the gate with a blocking
+/// lock: a re-entrant drain from inside it still goes through [`drain`]
+/// and skips. The caller must not hold the shard's heap lock.
+pub(crate) fn drain_all(shared: &Shared, idx: usize) -> u64 {
+    let gate = lock(&shared.shards[idx].remote.drain_gate);
+    drain_gated(shared, idx, usize::MAX, gate)
+}
+
+fn drain_gated(shared: &Shared, idx: usize, max_chains: usize, _gate: MutexGuard<'_, ()>) -> u64 {
+    let shard = &shared.shards[idx];
+    let inbox = &shard.remote;
     let mut drained = 0u64;
     let mut chains = 0usize;
     while chains < max_chains {
